@@ -2,11 +2,8 @@
 //!
 //! Two groups:
 //!
-//! * `reader_scaling` — host-level [`locks::IndicatedRwLock`] read
-//!   acquisition for every indicator variant at 1/8/32/128 threads. The
-//!   BRAVO claim is that a certified publication (one CAS into a private
-//!   slot plus a bias re-check) stays flat as threads grow, while the
-//!   centralized path funnels every reader through one reader-count word.
+//! * `fallback_read` — single-thread cost of one NS-only `read_cs` per
+//!   indicator kind.
 //! * `brlock_padding` — the satellite check for the cache-line padding of
 //!   `locks::BrLock`: contended per-slot read acquisition on the padded
 //!   lock versus an unpadded `Box<[SpinMutex]>` that packs 64 one-byte
@@ -23,7 +20,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use htm::{HtmConfig, HtmRuntime};
-use locks::{BrLock, IndicatedRwLock, SpinMutex};
+use locks::{BrLock, SpinMutex};
 use rind::IndicatorKind;
 use rwle::{RwLe, RwLeConfig};
 use simmem::{SharedMem, SimAlloc};
@@ -31,40 +28,6 @@ use stats::ThreadStats;
 
 /// Read acquisitions per thread per timed iteration.
 const OPS: usize = 64;
-
-/// Spawns `threads` workers that each acquire/release `OPS` times.
-fn read_batch(lock: &IndicatedRwLock, threads: usize) {
-    std::thread::scope(|s| {
-        for tid in 0..threads {
-            let lock = &lock;
-            s.spawn(move || {
-                for _ in 0..OPS {
-                    criterion::black_box(lock.read_lock(tid));
-                }
-            });
-        }
-    });
-}
-
-fn bench_reader_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("reader_scaling");
-    for kind in [
-        IndicatorKind::Central,
-        IndicatorKind::Bravo,
-        IndicatorKind::Cloned,
-    ] {
-        for threads in [1usize, 8, 32, 128] {
-            let lock = IndicatedRwLock::new(kind, 128);
-            // Prime the bias: BRAVO starts biased, but the first
-            // publication per thread still takes the table-install path.
-            read_batch(&lock, threads);
-            g.bench_function(format!("{kind:?}_{threads}_threads"), |b| {
-                b.iter(|| read_batch(&lock, threads))
-            });
-        }
-    }
-    g.finish();
-}
 
 /// The pre-padding `BrLock` layout: one-byte spin slots packed densely,
 /// so up to 64 of them share a cache line.
@@ -91,11 +54,7 @@ impl UnpaddedBrSlots {
 /// bias re-check.
 fn bench_fallback_read(c: &mut Criterion) {
     let mut g = c.benchmark_group("fallback_read");
-    for kind in [
-        IndicatorKind::Central,
-        IndicatorKind::Bravo,
-        IndicatorKind::Cloned,
-    ] {
+    for kind in [IndicatorKind::Central, IndicatorKind::Bravo] {
         let mem = Arc::new(SharedMem::new_lines(64));
         let rt = HtmRuntime::new(Arc::clone(&mem), HtmConfig::default());
         let alloc = SimAlloc::new(Arc::clone(&mem));
@@ -149,10 +108,5 @@ fn bench_brlock_padding(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_reader_scaling,
-    bench_fallback_read,
-    bench_brlock_padding
-);
+criterion_group!(benches, bench_fallback_read, bench_brlock_padding);
 criterion_main!(benches);

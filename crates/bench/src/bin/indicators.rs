@@ -2,16 +2,14 @@
 //!
 //! Measures what the BRAVO-style distributed indicator buys when elision
 //! is *disabled* (`RwLeConfig::fallback_only`: `max_htm_retries = 0`,
-//! `max_rot_retries = 0`) and every read takes the software path. Three
+//! `max_rot_retries = 0`) and every read takes the software path. Two
 //! indicator schemes run the same read-mostly critical sections over the
 //! same RW-LE lock:
 //!
 //! * `IND-C` — centralized accounting (the seed fallback: epoch
 //!   registration plus a lock-word check per read);
 //! * `IND-BRAVO` — bias-certified slot publication (one private CAS and
-//!   a bias re-check per read in steady state);
-//! * `IND-CLONE` — per-thread cloned slots (always published, reader
-//!   still checks the lock word).
+//!   a bias re-check per read in steady state).
 //!
 //! `SGL` — a test-and-test-and-set spin lock around the same bodies — is
 //! the machine-speed canary: the regression gate compares every scheme
@@ -49,7 +47,7 @@ struct Scheme {
     kind: Option<rind::IndicatorKind>,
 }
 
-const SCHEMES: [Scheme; 4] = [
+const SCHEMES: [Scheme; 3] = [
     Scheme {
         label: "SGL",
         kind: None,
@@ -61,10 +59,6 @@ const SCHEMES: [Scheme; 4] = [
     Scheme {
         label: "IND-BRAVO",
         kind: Some(rind::IndicatorKind::Bravo),
-    },
-    Scheme {
-        label: "IND-CLONE",
-        kind: Some(rind::IndicatorKind::Cloned),
     },
 ];
 
@@ -171,7 +165,7 @@ fn main() {
     let runs: usize = args.get_or("runs", 1);
     let seed: u64 = args.get_or("seed", 42);
     // `--schemes SGL,IND-BRAVO` narrows the sweep to the named indicator
-    // schemes (default: all four).
+    // schemes (default: all three).
     let schemes: Vec<&Scheme> = match args.get("schemes") {
         Some(list) => list
             .split(',')
@@ -182,7 +176,7 @@ fn main() {
                     .find(|s| s.label.eq_ignore_ascii_case(name))
                     .unwrap_or_else(|| {
                         eprintln!(
-                            "unknown scheme in --schemes: {name:?} (expected one of SGL, IND-C, IND-BRAVO, IND-CLONE)"
+                            "unknown scheme in --schemes: {name:?} (expected one of SGL, IND-C, IND-BRAVO)"
                         );
                         std::process::exit(2);
                     })

@@ -115,12 +115,6 @@ impl ThreadCtx {
         self.write_buf.clear();
         self.write_lines.clear();
         self.read_lines.clear();
-        self.rt.trace(
-            self.slot,
-            crate::trace::TraceEvent::Begin {
-                htm: mode == TxMode::Htm,
-            },
-        );
         Tx {
             ctx: self,
             mode,
@@ -242,9 +236,6 @@ impl<'c> Tx<'c> {
         self.ctx.write_lines.clear();
         self.ctx.read_lines.clear();
         self.finished = true;
-        self.ctx
-            .rt
-            .trace(slot, crate::trace::TraceEvent::Abort(cause));
         cause
     }
 
@@ -442,7 +433,6 @@ impl<'c> Tx<'c> {
         self.ctx.write_lines.clear();
         self.ctx.read_lines.clear();
         self.finished = true;
-        self.ctx.rt.trace(slot, crate::trace::TraceEvent::Commit);
         Ok(())
     }
 }

@@ -303,10 +303,8 @@ fn word_granularity_capacity_counts_words() {
 }
 
 #[test]
-fn tracer_records_transaction_lifecycle() {
-    let (_mem, rt) = setup(64);
-    let tracer = Arc::new(htm::TraceBuffer::new(64));
-    rt.attach_tracer(Arc::clone(&tracer));
+fn transaction_lifecycle_outcomes() {
+    let (mem, rt) = setup(64);
     let mut a = rt.register();
     let mut b = rt.register();
     // Commit, explicit abort, and a conflict abort.
@@ -314,31 +312,17 @@ fn tracer_records_transaction_lifecycle() {
     tx.write(Addr(0), 1).unwrap();
     tx.commit().unwrap();
     let rot = b.begin(TxMode::Rot);
-    rot.abort(3);
+    assert_eq!(rot.abort(3), AbortCause::Explicit(3));
     let mut t1 = a.begin(TxMode::Htm);
     t1.write(Addr(8), 1).unwrap();
     let mut t2 = b.begin(TxMode::Htm);
     t2.write(Addr(8), 2).unwrap();
-    assert!(t1.commit().is_err());
+    // Requester wins: t2's write dooms t1, which then fails to commit,
+    // and t2 commits after it.
+    assert_eq!(t1.commit(), Err(AbortCause::ConflictTx));
     t2.commit().unwrap();
-
-    let rendered = tracer.render();
-    assert!(rendered.contains("begin(HTM)"), "{rendered}");
-    assert!(rendered.contains("begin(ROT)"), "{rendered}");
-    assert!(rendered.contains("commit"), "{rendered}");
-    assert!(
-        rendered.contains("abort[explicit abort (code 3)]"),
-        "{rendered}"
-    );
-    assert!(
-        rendered.contains("abort[conflict with transaction]"),
-        "{rendered}"
-    );
-    assert_eq!(
-        tracer.total_recorded(),
-        8,
-        "4 begins + 2 commits + 2 aborts"
-    );
+    assert_eq!(mem.load(Addr(0)), 1);
+    assert_eq!(mem.load(Addr(8)), 2);
 }
 
 #[test]

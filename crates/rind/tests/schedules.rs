@@ -10,14 +10,13 @@
 //! torn-pair assertion carrying the reproducing seed.
 //!
 //! The model is a minimal lock built from nothing but an indicator, a
-//! writer flag, and a centralized slow-reader count — the same shape
-//! `locks::IndicatedRwLock` and the rwle NS fallback use, with every
-//! protocol step under `sched::step()`.
+//! writer flag, and a centralized slow-reader count — the same shape as
+//! the rwle NS fallback, with every protocol step under `sched::step()`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rind::{build, collect_wait, IndicatorKind, Publish, ReaderIndicator};
+use rind::{collect_wait, BravoIndicator, Publish};
 
 const READERS: usize = 2;
 const WRITERS: usize = 2;
@@ -25,7 +24,7 @@ const READS: usize = 3;
 const WRITES: usize = 2;
 
 struct Model {
-    ind: Arc<dyn ReaderIndicator>,
+    ind: BravoIndicator,
     writer: AtomicU64,
     slow: AtomicU64,
     a: AtomicU64,
@@ -35,9 +34,9 @@ struct Model {
 }
 
 impl Model {
-    fn new(kind: IndicatorKind) -> Self {
+    fn new() -> Self {
         Model {
-            ind: build(kind, READERS + WRITERS),
+            ind: BravoIndicator::sized(READERS + WRITERS),
             writer: AtomicU64::new(0),
             slow: AtomicU64::new(0),
             a: AtomicU64::new(0),
@@ -84,17 +83,6 @@ impl Model {
                 self.ind.retire(tid, slot);
                 self.fast_reads.fetch_add(1, Ordering::SeqCst);
             }
-            Publish::Published(slot) => {
-                sched::yield_point();
-                if self.writer.load(Ordering::SeqCst) == 0 {
-                    self.read_pair();
-                    self.ind.retire(tid, slot);
-                    self.fast_reads.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    self.ind.retire(tid, slot);
-                    self.slow_read();
-                }
-            }
             Publish::Declined => self.slow_read(),
         }
     }
@@ -109,7 +97,7 @@ impl Model {
             bo.snooze();
         }
         let rev = self.ind.begin_collect();
-        collect_wait(self.ind.as_ref(), &rev, None);
+        collect_wait(&self.ind, &rev, None);
         let mut bo = sched::Backoff::new();
         while self.slow.load(Ordering::SeqCst) != 0 {
             bo.snooze();
@@ -123,8 +111,8 @@ impl Model {
     }
 }
 
-fn revocation_schedule(kind: IndicatorKind, seed: u64) {
-    let m = Arc::new(Model::new(kind));
+fn revocation_schedule(seed: u64) {
+    let m = Arc::new(Model::new());
     let mut s = sched::Scheduler::new(seed);
     for tid in 0..READERS {
         let m = Arc::clone(&m);
@@ -155,27 +143,7 @@ fn revocation_schedule(kind: IndicatorKind, seed: u64) {
 /// revoke + scan. 320 seeds.
 #[test]
 fn bravo_revocation_schedules() {
-    sched::explore("rind-bravo-revocation", 0..320, |seed| {
-        revocation_schedule(IndicatorKind::Bravo, seed)
-    });
-}
-
-/// Cloned (no bias): the Dekker race between slot-publish/writer-check
-/// and set-writer/scan. 320 seeds.
-#[test]
-fn cloned_revocation_schedules() {
-    sched::explore("rind-cloned-revocation", 0..320, |seed| {
-        revocation_schedule(IndicatorKind::Cloned, seed)
-    });
-}
-
-/// Central (null indicator): everything funnels through the slow path;
-/// the model degenerates to a plain writer-preference lock. 150 seeds.
-#[test]
-fn central_revocation_schedules() {
-    sched::explore("rind-central-revocation", 0..150, |seed| {
-        revocation_schedule(IndicatorKind::Central, seed)
-    });
+    sched::explore("rind-bravo-revocation", 0..320, revocation_schedule);
 }
 
 /// The rebias policy itself raced against collectors: slow readers keep
@@ -186,7 +154,7 @@ fn central_revocation_schedules() {
 #[test]
 fn bravo_rebias_vs_collect_schedules() {
     sched::explore("rind-bravo-rebias", 0..320, |seed| {
-        let m = Arc::new(Model::new(IndicatorKind::Bravo));
+        let m = Arc::new(Model::new());
         let mut s = sched::Scheduler::new(seed);
         {
             let m = Arc::clone(&m);

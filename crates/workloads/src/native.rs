@@ -43,7 +43,8 @@ use epoch::EpochSet;
 use stats::{CommitKind, ThreadStats};
 
 use crate::backend::{
-    BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull, StoreSession, NO_LSN,
+    apply_each, BatchOutcome, DurableSink, Lsn, MutOp, MutReply, StoreBackend, StoreFull,
+    StoreSession, NO_LSN,
 };
 use crate::sharded::PutOutcome;
 
@@ -486,9 +487,9 @@ impl StoreBackend for SglBackend {
 }
 
 /// Per-thread session over [`SglBackend`]: every operation takes the
-/// global lock. `apply_batch` deliberately keeps the default per-op
-/// loop — the canary must not benefit from the batching machinery it
-/// exists to baseline.
+/// global lock. `apply_batch` deliberately keeps the per-op loop — the
+/// canary must not benefit from the batching machinery it exists to
+/// baseline — but reports no barriers, because it never quiesces.
 struct SglSession<'a> {
     backend: &'a SglBackend,
     st: ThreadStats,
@@ -524,6 +525,11 @@ impl StoreSession for SglSession<'_> {
         }
         drop(map);
         self.st.commit(CommitKind::Sgl);
+    }
+
+    fn apply_batch(&mut self, ops: &[MutOp], replies: &mut Vec<MutReply>) -> BatchOutcome {
+        apply_each(self, ops, replies);
+        BatchOutcome::default()
     }
 
     fn take_stats(&mut self) -> ThreadStats {
