@@ -43,6 +43,10 @@ pub const MAX_FRAME: usize = 64 * 1024;
 /// Maximum pair count a single SCAN may request.
 pub const MAX_SCAN: u32 = 1024;
 
+/// `u64` counters in a STATS body: 10 request/connection counters,
+/// 5 batch counters, 3 WAL counters and 8 histogram buckets.
+const STATS_COUNTERS: usize = 26;
+
 /// A client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -283,9 +287,10 @@ impl Request {
 
     /// Serializes the request as a complete frame (length prefix + body).
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(24);
-        self.encode_body(&mut body);
-        frame(&body)
+        // The largest request body, PUT's, is 17 bytes.
+        let mut out = Vec::with_capacity(4 + 17);
+        self.encode_frame(&mut out);
+        out
     }
 
     /// Appends the complete frame (length prefix + body) to `out` —
@@ -410,11 +415,34 @@ impl Response {
         }
     }
 
-    /// Serializes the response as a complete frame.
+    /// The encoded body's length in bytes (status + payload).
+    pub(crate) fn body_len(&self) -> usize {
+        match self {
+            Response::Value(_) => 1 + 8,
+            Response::Pairs(pairs) => 1 + 4 + pairs.len() * 16,
+            Response::Stats(s) => {
+                let labels = [&s.scheme, &s.backend, &s.durability];
+                1 + STATS_COUNTERS * 8 + labels.iter().map(|l| 1 + l.len().min(255)).sum::<usize>()
+            }
+            Response::Ok
+            | Response::NotFound
+            | Response::BadRequest
+            | Response::Busy
+            | Response::ShuttingDown
+            | Response::ServerFull => 1,
+        }
+    }
+
+    /// Serializes the response as a complete frame: one allocation of
+    /// the exact frame size, the length header written in place.
     pub fn to_frame(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(32);
-        self.encode_body(&mut body);
-        frame(&body)
+        let len = self.body_len();
+        debug_assert!(len <= MAX_FRAME);
+        let mut out = Vec::with_capacity(4 + len);
+        out.extend_from_slice(&(len as u32).to_le_bytes());
+        self.encode_body(&mut out);
+        debug_assert_eq!(out.len(), 4 + len);
+        out
     }
 
     /// Parses a frame body. Never panics, for any input.
@@ -451,10 +479,9 @@ impl Response {
                 Ok(Response::Pairs(pairs))
             }
             0x83 => {
-                // 26 u64 counters (10 request/connection counters, 5 batch
-                // counters, 3 WAL counters, 8 histogram buckets), then the
-                // three labels (scheme, backend, durability).
-                const COUNTERS: usize = 26 * 8;
+                // The u64 counters, then the three labels (scheme,
+                // backend, durability).
+                const COUNTERS: usize = STATS_COUNTERS * 8;
                 if body.len() < 1 + COUNTERS + 1 {
                     return Err(ProtoError::Truncated {
                         need: COUNTERS + 1,
@@ -537,15 +564,6 @@ impl Response {
             other => Err(ProtoError::UnknownOpcode(other)),
         }
     }
-}
-
-/// Wraps a body in a length-prefixed frame.
-pub fn frame(body: &[u8]) -> Vec<u8> {
-    debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
 }
 
 /// Incremental frame parser over a byte stream.
@@ -801,8 +819,26 @@ mod tests {
             Response::ServerFull,
         ] {
             let f = resp.to_frame();
+            // One exact-size allocation, header in place.
+            assert_eq!((f.len(), f.capacity()), (4 + resp.body_len(), f.len()));
+            assert_eq!(f[..4], (resp.body_len() as u32).to_le_bytes());
             let body = &f[4..];
             assert_eq!(Response::decode(body).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn max_scan_and_long_label_frames_are_exact() {
+        let pairs = Response::Pairs((0..u64::from(MAX_SCAN)).map(|k| (k, k + 1)).collect());
+        let stats = ServerStats {
+            scheme: "x".repeat(300),
+            ..ServerStats::default()
+        };
+        for resp in [pairs, Response::Stats(Box::new(stats))] {
+            let f = resp.to_frame();
+            assert_eq!(f.len(), 4 + resp.body_len());
+            assert!(resp.body_len() <= MAX_FRAME);
+            assert!(Response::decode(&f[4..]).is_ok());
         }
     }
 

@@ -671,7 +671,9 @@ fn worker_loop(
     let mut mut_ops: Vec<MutOp> = Vec::new();
     let mut mut_at: Vec<usize> = Vec::new();
     let mut mut_replies: Vec<MutReply> = Vec::new();
-    let mut scratch: Vec<(u64, u64)> = Vec::new();
+    // SCAN result buffers: each moves into its `Response::Pairs` and
+    // comes back here once the reply is encoded.
+    let mut scan_bufs: Vec<Vec<(u64, u64)>> = Vec::new();
     // Slots with deferred decodable input, carried across iterations.
     let mut carry: Vec<usize> = Vec::new();
     let mut retire: Vec<usize> = Vec::new();
@@ -828,9 +830,9 @@ fn worker_loop(
                         }
                         Request::Scan { start, count } => {
                             Counters::inc(&shared.counters.scans);
-                            scratch.clear();
-                            sess.scan(start, count, &mut scratch);
-                            replies[i] = Some(Response::Pairs(scratch.clone()));
+                            let mut pairs = scan_bufs.pop().unwrap_or_default();
+                            sess.scan(start, count, &mut pairs);
+                            replies[i] = Some(Response::Pairs(pairs));
                         }
                         Request::Stats => {
                             replies[i] = Some(Response::Stats(Box::new(shared.snapshot())));
@@ -893,13 +895,16 @@ fn worker_loop(
             // before its record is synced — see the gate above).
             let mut queued = 0u64;
             for ((slot, item), resp) in work.iter().zip(replies.drain(..)) {
-                let Some(conn) = conns.get_mut(*slot).and_then(|c| c.as_mut()) else {
-                    continue;
-                };
                 let resp = resp.expect("every work item got a reply");
-                conn.outbox.push(resp.to_frame());
-                if matches!(item, WorkItem::Req(_)) {
-                    queued += 1;
+                if let Some(conn) = conns.get_mut(*slot).and_then(|c| c.as_mut()) {
+                    conn.outbox.push(resp.to_frame());
+                    if matches!(item, WorkItem::Req(_)) {
+                        queued += 1;
+                    }
+                }
+                if let Response::Pairs(mut pairs) = resp {
+                    pairs.clear();
+                    scan_bufs.push(pairs);
                 }
             }
             Counters::add(&c.replied, queued);

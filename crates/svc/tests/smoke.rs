@@ -51,7 +51,15 @@ fn shutdown(
     addr: &str,
     handle: std::thread::JoinHandle<std::io::Result<DrainReport>>,
 ) -> DrainReport {
-    let mut c = connect(addr);
+    shutdown_over(connect(addr), handle)
+}
+
+/// Sends SHUTDOWN over an already admitted connection `c` and checks
+/// the drain report.
+fn shutdown_over(
+    mut c: TcpStream,
+    handle: std::thread::JoinHandle<std::io::Result<DrainReport>>,
+) -> DrainReport {
     assert_eq!(request(&mut c, &Request::Shutdown), Response::Ok);
     let report = handle.join().expect("server thread").expect("server run");
     assert!(
@@ -199,7 +207,7 @@ fn connection_limit_sheds_with_busy() {
     drop(first);
     // Slot freed: a new connection is admitted (poll briefly — the
     // server notices the close on its reader thread, not instantly).
-    let mut admitted = false;
+    let mut admitted = None;
     for _ in 0..100 {
         let mut third = connect(&addr);
         third
@@ -208,15 +216,17 @@ fn connection_limit_sheds_with_busy() {
         let body = read_frame(&mut third).expect("reply");
         match Response::decode(&body).unwrap() {
             Response::Value(3) => {
-                admitted = true;
+                admitted = Some(third);
                 break;
             }
             Response::Busy => continue,
             other => panic!("unexpected reply: {other:?}"),
         }
     }
-    assert!(admitted, "freed connection slot was never reused");
-    shutdown(&addr, handle);
+    let third = admitted.expect("freed connection slot was never reused");
+    // The one slot is taken: a fresh connection would be shed, so the
+    // admitted connection carries the SHUTDOWN.
+    shutdown_over(third, handle);
 }
 
 #[test]

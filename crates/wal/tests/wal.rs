@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use wal::{replay, FsyncPolicy, Wal, WalError};
 use workloads::backend::{DurableSink, MutOp, MutReply, StoreBackend, NO_LSN};
-use workloads::native::NativeBackend;
+use workloads::native::{shard_index, NativeBackend};
 
 /// Fresh per-test scratch directory (the container has no tempfile
 /// crate; process id + test name keeps parallel test binaries apart).
@@ -231,6 +231,12 @@ fn native_backend_replay_equals_store() {
     let dir = scratch("native-replay");
     let threads = 4usize;
     let backend = Arc::new(NativeBackend::create(4, threads + 1, 0));
+    // Logical keys 0..128 spread one per placement block, so batches
+    // span shards: the native store places keys by 64-key block.
+    let key = |j: u64| j * 65;
+    let shards: std::collections::BTreeSet<usize> =
+        (0..128).map(|j| shard_index(key(j), 4)).collect();
+    assert!(shards.len() >= 3, "keys reach only shards {shards:?}");
     let w = Arc::new(Wal::open(&dir, FsyncPolicy::Batch, 1).unwrap());
 
     std::thread::scope(|s| {
@@ -244,7 +250,11 @@ fn native_backend_replay_equals_store() {
                 // and commit order matters.
                 for i in 0..200u64 {
                     let k = (t * 37 + i) % 64;
-                    let ops = [put(k, t * 1_000_000 + i), del((k + 1) % 64), put(k + 64, i)];
+                    let ops = [
+                        put(key(k), t * 1_000_000 + i),
+                        del(key((k + 1) % 64)),
+                        put(key(k + 64), i),
+                    ];
                     let (_, lsn) = sess.apply_batch_durable(&ops, &mut replies, &*w);
                     w.wait_durable(lsn);
                 }

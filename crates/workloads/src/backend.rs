@@ -191,7 +191,9 @@ pub trait StoreSession {
     fn del(&mut self, key: u64) -> bool;
 
     /// Appends all present pairs with keys in `[start, start + count)`
-    /// to `out`, sorted by key.
+    /// to `out`, sorted by key. What `out` already holds is left as it
+    /// is, in place and in order. `start + count` saturates at
+    /// `u64::MAX`, a key no scan returns.
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>);
 
     /// Applies a batch of mutations, filling `replies` index-aligned
@@ -409,6 +411,54 @@ mod tests {
     #[test]
     fn sgl_backend_roundtrips() {
         roundtrip(&crate::native::SglBackend::create(200));
+    }
+
+    /// Scans at the edges of the key space and of the native store's
+    /// placement blocks must match the single-lock canary holding the
+    /// same keys, and must append behind what `out` already holds.
+    fn scans_match_sgl(backend: &dyn StoreBackend) {
+        let sgl = crate::native::SglBackend::create(200);
+        let mut s = backend.session();
+        let mut c = sgl.session();
+        let top = [u64::MAX - 1, u64::MAX - 2, u64::MAX - 64, u64::MAX - 700];
+        for key in top.into_iter().chain([3000, 3063, 3064, 4100]) {
+            assert_eq!(s.put(key, key / 2), c.put(key, key / 2));
+        }
+        assert!(s.del(65) && c.del(65));
+        let cases = [
+            (0, 0),
+            (150, 0),
+            (5, 1),
+            (63, 2),
+            (1, 130),
+            (0, 200),
+            (10, 1024),
+            // More than 16 blocks, across gaps and sparse blocks.
+            (17, 2000),
+            (2990, 1200),
+            (u64::MAX - 1023, 1024),
+            (u64::MAX - 64, 64),
+            (u64::MAX - 1, 1024),
+            (u64::MAX, 5),
+        ];
+        for (start, count) in cases {
+            let prefix = vec![(u64::MAX, 9), (0, 0)];
+            let mut got = prefix.clone();
+            s.scan(start, count, &mut got);
+            let mut want = prefix;
+            c.scan(start, count, &mut want);
+            assert_eq!(got, want, "scan({start}, {count})");
+        }
+    }
+
+    #[test]
+    fn sim_scans_match_sgl() {
+        scans_match_sgl(&sim());
+    }
+
+    #[test]
+    fn native_scans_match_sgl() {
+        scans_match_sgl(&native());
     }
 
     /// `apply_batch` must agree with sequential put/del semantics on

@@ -20,6 +20,18 @@
 //! drops: abort/commit breakdowns (nothing speculates, nothing aborts)
 //! and `sched` schedule exploration (plain memory has no access hooks).
 //!
+//! ## Key placement and scans
+//!
+//! A key goes to a shard by its 64-key block (`key >> 6` through
+//! the Fibonacci spreader), not by its own hash. Neighbouring keys
+//! therefore share a shard, and a SCAN walks `[start, end)` one block at
+//! a time: one read section per block, whose `BTreeMap::range` slice is
+//! appended straight to the output — ascending by construction, with no
+//! all-shard fan-out and no sort. A wire SCAN (at most 1024 keys) visits
+//! at most 17 blocks. The cost is on the write side: a hot key range
+//! (the Zipf head `0..64`) now shares one shard's writer mutex, where the
+//! per-key spreader scattered it over all shards.
+//!
 //! ## Memory ordering
 //!
 //! The ISSUE's Release-flip/Acquire-load recipe is *not* sufficient:
@@ -51,6 +63,13 @@ use crate::sharded::PutOutcome;
 /// Fibonacci multiplier for the shard spreader (same as [`crate::sharded`]).
 const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// log2 of [`BLOCK`].
+const BLOCK_SHIFT: u32 = 6;
+
+/// Keys per placement block: keys `b * BLOCK .. (b + 1) * BLOCK` all
+/// live in one shard (module docs, "Key placement and scans").
+const BLOCK: u64 = 1 << BLOCK_SHIFT;
+
 /// One shard: two map copies, the active index, and the writer mutex
 /// that serializes this shard's publications.
 struct NativeShard {
@@ -75,12 +94,10 @@ struct NativeShard {
 unsafe impl Sync for NativeShard {}
 
 impl NativeShard {
-    fn new() -> NativeShard {
+    /// A shard whose two copies both start as `map`.
+    fn new(map: BTreeMap<u64, u64>) -> NativeShard {
         NativeShard {
-            slots: [
-                UnsafeCell::new(BTreeMap::new()),
-                UnsafeCell::new(BTreeMap::new()),
-            ],
+            slots: [UnsafeCell::new(map.clone()), UnsafeCell::new(map)],
             active: AtomicUsize::new(0),
             writer: Mutex::new(()),
         }
@@ -180,22 +197,26 @@ impl NativeBackend {
     pub fn create(n_shards: usize, max_threads: usize, prefill: u64) -> NativeBackend {
         assert!(n_shards > 0, "need at least one shard");
         assert!(max_threads > 0, "need at least one session slot");
-        let mut backend = NativeBackend {
-            shards: (0..n_shards).map(|_| NativeShard::new()).collect(),
+        // Each shard's map is bulk-built once from its ascending keys and
+        // cloned for the second copy, so the identical-copies invariant
+        // holds by construction before the first writer runs.
+        let blocks = prefill.div_ceil(BLOCK);
+        let shards = (0..n_shards)
+            .map(|s| {
+                let map = (0..blocks)
+                    .filter(|&b| shard_of_block(b, n_shards) == s)
+                    .flat_map(|b| (b << BLOCK_SHIFT..prefill).take(BLOCK as usize))
+                    .map(|k| (k, k))
+                    .collect();
+                NativeShard::new(map)
+            })
+            .collect();
+        NativeBackend {
+            shards,
             epochs: EpochSet::new(max_threads),
             next_tid: AtomicUsize::new(0),
             capacity: max_threads,
-        };
-        for key in 0..prefill {
-            let shard = shard_index(key, n_shards);
-            // Both copies get the key: the identical-copies invariant
-            // must hold before the first writer runs. `get_mut` needs no
-            // unsafe — we still own the backend exclusively.
-            for slot in backend.shards[shard].slots.iter_mut() {
-                slot.get_mut().insert(key, key);
-            }
         }
-        backend
     }
 
     #[inline]
@@ -218,9 +239,17 @@ impl NativeBackend {
     }
 }
 
+/// The shard (of `n_shards`) that holds `key`: its 64-key block
+/// through the Fibonacci spreader. Public so tests outside this crate
+/// can check that their keys really span several shards.
 #[inline]
-fn shard_index(key: u64, n_shards: usize) -> usize {
-    ((key.wrapping_mul(SPREAD) >> 32) as usize) % n_shards
+pub fn shard_index(key: u64, n_shards: usize) -> usize {
+    shard_of_block(key >> BLOCK_SHIFT, n_shards)
+}
+
+#[inline]
+fn shard_of_block(block: u64, n_shards: usize) -> usize {
+    ((block.wrapping_mul(SPREAD) >> 32) as usize) % n_shards
 }
 
 impl StoreBackend for NativeBackend {
@@ -301,21 +330,21 @@ impl StoreSession for NativeSession<'_> {
     }
 
     fn scan(&mut self, start: u64, count: u32, out: &mut Vec<(u64, u64)>) {
-        // One read section per shard over its slice of the range, same
-        // as the sharded simulated store (and the same op accounting:
-        // one uninstrumented commit per shard). Each shard holds only
-        // its own keys, so the ordered map's range walk yields exactly
-        // this shard's slice — no per-key shard filtering.
+        // One read section (and one uninstrumented commit) per block:
+        // a block lives in one shard, so its `range` slice is complete
+        // and the blocks come out in key order.
         let end = start.saturating_add(count as u64);
-        for shard in &self.backend.shards {
+        let mut lo = start;
+        while lo < end {
+            // Saturating: the last block's end would wrap to key 0.
+            let hi = (lo | (BLOCK - 1)).saturating_add(1).min(end);
+            let shard = self.backend.shard_of(lo);
             shard.read(&self.backend.epochs, self.tid, |map| {
-                for (&k, &v) in map.range(start..end) {
-                    out.push((k, v));
-                }
+                out.extend(map.range(lo..hi).map(|(&k, &v)| (k, v)));
             });
             self.st.commit(CommitKind::Uninstrumented);
+            lo = hi;
         }
-        out.sort_unstable();
     }
 
     /// The amortized batch path: group per shard, one flip per touched
@@ -541,23 +570,63 @@ impl StoreSession for SglSession<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn copies_stay_identical_after_writes() {
-        let backend = NativeBackend::create(2, 2, 20);
-        {
-            let mut s = backend.session();
-            s.put(100, 7).unwrap();
-            s.del(5);
-            s.put(3, 99).unwrap();
-        }
+    /// Both copies of every shard hold the same map.
+    fn assert_copies_identical(backend: &NativeBackend) {
         for shard in &backend.shards {
-            // SAFETY: the session is dropped and no other thread exists;
-            // both copies are quiescent and safe to inspect.
+            // SAFETY: callers drop every session first and no other
+            // thread exists; both copies are quiescent.
             let a = unsafe { &*shard.slots[0].get() };
             // SAFETY: as above.
             let b = unsafe { &*shard.slots[1].get() };
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn copies_stay_identical_after_writes() {
+        let backend = NativeBackend::create(2, 2, 4 * BLOCK);
+        let keys = [100, 5, 3, 3 * BLOCK + 1];
+        assert_ne!(shard_index(keys[0], 2), shard_index(keys[1], 2));
+        {
+            let mut s = backend.session();
+            s.put(keys[0], 7).unwrap();
+            s.del(keys[1]);
+            s.put(keys[2], 99).unwrap();
+            s.del(keys[3]);
+        }
+        assert_copies_identical(&backend);
+    }
+
+    #[test]
+    fn prefill_places_whole_blocks_in_both_copies() {
+        let prefill = 10 * BLOCK + 5;
+        let backend = NativeBackend::create(4, 1, prefill);
+        assert_copies_identical(&backend);
+        let mut total = 0;
+        for (s, shard) in backend.shards.iter().enumerate() {
+            // SAFETY: no session exists; the copies are quiescent.
+            let map = unsafe { &*shard.slots[0].get() };
+            for (&k, &v) in map {
+                assert_eq!((k, shard_index(k, 4)), (v, s));
+            }
+            total += map.len() as u64;
+        }
+        assert_eq!(total, prefill);
+    }
+
+    #[test]
+    fn scan_takes_one_read_section_per_block() {
+        let backend = NativeBackend::create(16, 1, 1000);
+        let mut s = backend.session();
+        let mut out = Vec::new();
+        // 10..=139 spans blocks 0, 1 and 2.
+        s.scan(10, 130, &mut out);
+        assert_eq!(out, (10..140).map(|k| (k, k)).collect::<Vec<_>>());
+        // A full wire SCAN from an unaligned start: 17 blocks.
+        s.scan(BLOCK + 1, 1024, &mut out);
+        s.scan(0, 0, &mut out);
+        let st = s.take_stats();
+        assert_eq!(st.commits(CommitKind::Uninstrumented), 3 + 17);
     }
 
     #[test]
@@ -583,6 +652,8 @@ mod tests {
     #[test]
     fn batched_apply_matches_sequential_semantics() {
         let backend = NativeBackend::create(4, 2, 10);
+        // The batch spans two shards (keys 3 and 7 share block 0).
+        assert_ne!(shard_index(100, 4), shard_index(3, 4));
         let mut s = backend.session();
         let ops = [
             MutOp::Put { key: 100, value: 1 },
@@ -612,14 +683,7 @@ mod tests {
         let st = s.take_stats();
         assert_eq!(st.commits(CommitKind::Rot), 5);
         drop(s);
-        for shard in &backend.shards {
-            // SAFETY: the session is dropped and no other thread exists;
-            // both copies are quiescent and safe to inspect.
-            let a = unsafe { &*shard.slots[0].get() };
-            // SAFETY: as above.
-            let b = unsafe { &*shard.slots[1].get() };
-            assert_eq!(a, b);
-        }
+        assert_copies_identical(&backend);
     }
 
     #[test]

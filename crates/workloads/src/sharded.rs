@@ -23,6 +23,9 @@ use crate::scheme::{Scheme, SchemeKind};
 /// Fibonacci multiplier for the shard spreader.
 const SPREAD: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// Keys a [`ShardedKv::scan`] looks up per window; bounds its scratch.
+const SCAN_WINDOW: u64 = 1024;
+
 /// One shard: a hashmap plus the scheme instance that guards it.
 struct Shard {
     map: SimHashMap,
@@ -76,9 +79,13 @@ impl ShardedKv {
     }
 
     #[inline]
+    fn shard_index(&self, key: u64) -> usize {
+        ((key.wrapping_mul(SPREAD) >> 32) as usize) % self.shards.len()
+    }
+
+    #[inline]
     fn shard_of(&self, key: u64) -> &Shard {
-        let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
-        &self.shards[spread % self.shards.len()]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Looks `key` up (uninstrumented read under RW-LE).
@@ -136,10 +143,18 @@ impl ShardedKv {
             .write_cs(ctx, st, &mut |acc| map_remove(&shard.map, acc, key))
     }
 
-    /// Looks up every key in `[start, start + count)` in **one** read
-    /// critical section, appending present pairs to `out`. Long scans are
-    /// the read-capacity stressor: under RW-LE they stay uninstrumented
-    /// (no HTM footprint), under HLE-style baselines they abort.
+    /// Looks up every key in `[start, start + count)`, appending present
+    /// pairs to `out` in key order without touching what `out` already
+    /// holds. Long scans are the read-capacity stressor: under RW-LE they
+    /// stay uninstrumented (no HTM footprint), under HLE-style baselines
+    /// they abort and re-run.
+    ///
+    /// The range goes in windows of at most 1024 keys. Within
+    /// a window each shard that owns a key takes one read critical
+    /// section, whose body *overwrites* its own keys' slots with the
+    /// lookup result — so a body re-run after an abort erases whatever
+    /// its failed attempt wrote — and the slots are then compacted in
+    /// key order.
     pub fn scan(
         &self,
         ctx: &mut ThreadCtx,
@@ -148,24 +163,54 @@ impl ShardedKv {
         count: u32,
         out: &mut Vec<(u64, u64)>,
     ) {
-        // Keys in the range may live in different shards; take each
-        // shard's read CS once over its slice of the range.
-        for shard_idx in 0..self.shards.len() {
-            let shard = &self.shards[shard_idx];
-            shard.scheme.read_cs(ctx, st, &mut |acc| {
-                for key in start..start.saturating_add(count as u64) {
-                    let spread = (key.wrapping_mul(SPREAD) >> 32) as usize;
-                    if spread % self.shards.len() != shard_idx {
-                        continue;
-                    }
-                    if let Some(v) = shard.map.lookup(acc, key)? {
-                        out.push((key, v));
-                    }
+        let end = start.saturating_add(count as u64);
+        let n = self.shards.len();
+        let mut slots: Vec<Option<u64>> = Vec::new();
+        // Window offsets grouped by shard (a counting sort): shard `s`
+        // owns `order[bounds[s]..bounds[s + 1]]`.
+        let mut order: Vec<usize> = Vec::new();
+        let mut bounds = vec![0usize; n + 1];
+        let mut next = vec![0usize; n];
+        let mut lo = start;
+        while lo < end {
+            let len = (end - lo).min(SCAN_WINDOW) as usize;
+            bounds.fill(0);
+            for i in 0..len {
+                bounds[self.shard_index(lo + i as u64) + 1] += 1;
+            }
+            for s in 0..n {
+                bounds[s + 1] += bounds[s];
+            }
+            next.copy_from_slice(&bounds[..n]);
+            order.clear();
+            order.resize(len, 0);
+            for i in 0..len {
+                let s = self.shard_index(lo + i as u64);
+                order[next[s]] = i;
+                next[s] += 1;
+            }
+            slots.clear();
+            slots.resize(len, None);
+            for (s, shard) in self.shards.iter().enumerate() {
+                let mine = &order[bounds[s]..bounds[s + 1]];
+                if mine.is_empty() {
+                    continue;
                 }
-                Ok(())
-            });
+                shard.scheme.read_cs(ctx, st, &mut |acc| {
+                    for &i in mine {
+                        slots[i] = shard.map.lookup(acc, lo + i as u64)?;
+                    }
+                    Ok(())
+                });
+            }
+            out.extend(
+                slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, v)| v.map(|v| (lo + i as u64, v))),
+            );
+            lo += len as u64;
         }
-        out.sort_unstable();
     }
 
     /// Pre-loads keys `0..n` with `value = key`, single-threaded,
@@ -244,6 +289,97 @@ mod tests {
         assert_eq!(out, expect);
     }
 
+    /// Distinct shards owning a key of `[start, start + count)`.
+    fn shards_touched(kv: &ShardedKv, start: u64, count: u64) -> u64 {
+        let mut seen = vec![false; kv.n_shards()];
+        for key in start..start + count {
+            seen[kv.shard_index(key)] = true;
+        }
+        seen.iter().filter(|&&b| b).count() as u64
+    }
+
+    #[test]
+    fn scan_appends_after_existing_entries_and_skips_unowned_shards() {
+        let (rt, alloc) = setup(4096);
+        let kv = ShardedKv::create(&alloc, SchemeKind::RwLeOpt, 4, 8, 2).unwrap();
+        kv.populate(&alloc, 50).unwrap();
+        let mut ctx = rt.register();
+        let mut st = ThreadStats::new();
+        let mut out = vec![(900, 1), (3, 3)];
+        kv.scan(&mut ctx, &mut st, 1, 3, &mut out);
+        kv.scan(&mut ctx, &mut st, 10, 0, &mut out);
+        assert_eq!(out, vec![(900, 1), (3, 3), (1, 1), (2, 2), (3, 3)]);
+        assert_eq!(st.ops, shards_touched(&kv, 1, 3));
+    }
+
+    /// HLE-family schemes re-run a read body after an abort. A body
+    /// that pushed into the output would leave its failed attempt's
+    /// pairs behind (duplicates, out-of-order keys); every scan here
+    /// must come back exactly as the key range, in order.
+    fn scans_exact_under_concurrent_writes(kind: SchemeKind) {
+        const KEYS: u64 = 2000;
+        let (rt, alloc) = setup(16384);
+        let kv = ShardedKv::create(&alloc, kind, 4, 64, 3).unwrap();
+        kv.populate(&alloc, KEYS).unwrap();
+        let stop = std::sync::Mutex::new(false);
+        let (kv, alloc, stop) = (&kv, &alloc, &stop);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let rt = Arc::clone(&rt);
+                s.spawn(move || {
+                    let mut ctx = rt.register();
+                    let mut st = ThreadStats::new();
+                    let mut spare = None;
+                    let mut i = t;
+                    // Updates only: every key stays present with value
+                    // `key` or `key + 1`.
+                    while !*stop.lock().unwrap() {
+                        let key = (i * 7919) % KEYS;
+                        kv.put(&mut ctx, &mut st, alloc, &mut spare, key, key + i % 2)
+                            .unwrap();
+                        i += 2;
+                    }
+                });
+            }
+            let mut ctx = rt.register();
+            let mut st = ThreadStats::new();
+            let mut out = Vec::new();
+            let mut bad = None;
+            for n in 0..300u64 {
+                let start = (n * 613) % (KEYS - 200);
+                out.clear();
+                kv.scan(&mut ctx, &mut st, start, 200, &mut out);
+                let exact = out.len() == 200
+                    && out
+                        .iter()
+                        .zip(start..)
+                        .all(|(&(k, v), want)| k == want && (v == k || v == k + 1));
+                if !exact {
+                    bad = Some(format!("scan {n} from {start}: {} pairs", out.len()));
+                    break;
+                }
+            }
+            *stop.lock().unwrap() = true;
+            // Stop the writers before failing, so the scope can join.
+            assert_eq!(bad, None, "{kind:?}");
+        });
+    }
+
+    #[test]
+    fn hle_scans_are_exact_under_concurrent_writes() {
+        scans_exact_under_concurrent_writes(SchemeKind::Hle);
+    }
+
+    #[test]
+    fn scm_hle_scans_are_exact_under_concurrent_writes() {
+        scans_exact_under_concurrent_writes(SchemeKind::ScmHle);
+    }
+
+    #[test]
+    fn adaptive_hle_scans_are_exact_under_concurrent_writes() {
+        scans_exact_under_concurrent_writes(SchemeKind::AdaptiveHle);
+    }
+
     #[test]
     fn populate_then_concurrent_mixed_ops_keep_torn_free() {
         let (rt, alloc) = setup(16384);
@@ -283,9 +419,16 @@ mod tests {
                             }
                         }
                     }
-                    // 150 single-shard ops + 50 scans × one read CS per
-                    // shard.
-                    assert_eq!(st.ops, 150 + 50 * kv.n_shards() as u64);
+                    // 150 single-shard ops + one read CS per shard that
+                    // owns a key of each 8-key scan.
+                    let scan_sections: u64 = (0..200u64)
+                        .filter(|i| i % 4 == 3)
+                        .map(|i| {
+                            let key = (t as u64 * 131 + i * 7) % 400;
+                            shards_touched(&kv, key, 8)
+                        })
+                        .sum();
+                    assert_eq!(st.ops, 150 + scan_sections);
                 });
             }
         });
